@@ -14,14 +14,6 @@ namespace {
 // out of reach of any realistic rotation-schedule length.
 constexpr std::uint64_t kHdPassSalt = 0x4844'0000ULL;
 constexpr std::uint64_t kHdacSelectSalt = 0x5E1E'C700ULL;
-// Salt of the construction-time array silicon streams (silicon_root_ fork
-// per array index). Kept far above any global segment id so the per-row
-// streams (forked per id) and the per-array streams never collide. The
-// construction-time draw is decision-irrelevant — every written row is
-// re-manufactured from its per-id stream, and unwritten rows never decide
-// — it only has to be deterministic per array so clone() and lazy growth
-// manufacture identical silicon in any order.
-constexpr std::uint64_t kUnitSalt = 0x517E'C0DE'0000'0000ULL;
 }  // namespace
 
 AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
@@ -41,24 +33,44 @@ AsmcapAccelerator::AsmcapAccelerator(AsmcapConfig config)
     sketch_ = std::make_unique<BankSketch>(config_.array_cols);
 }
 
-void AsmcapAccelerator::ensure_units(std::size_t arrays) {
-  if (arrays > config_.array_count)
-    throw DbError(DbErrorKind::CapacityExceeded,
-                  "AsmcapAccelerator: array count exceeded");
-  while (units_.size() < arrays) {
-    Rng unit_rng = silicon_root_.fork(
-        kUnitSalt + static_cast<std::uint64_t>(units_.size()));
+void AsmcapAccelerator::manufacture_row(std::size_t slot, std::uint64_t id,
+                                        const Sequence& segment) {
+  const std::size_t a = slot / config_.array_rows;
+  while (units_.size() <= a)
     units_.emplace_back(config_.array_rows, config_.array_cols,
-                        config_.process.charge, config_.ideal_sensing,
-                        unit_rng);
-  }
+                        config_.process.charge, config_.ideal_sensing);
+  // The row's analog silicon is a pure function of its global id: the
+  // segment decides identically in whichever slot, array, or bank it
+  // lands, and whenever its silicon is built (docs/determinism.md rule 8).
+  Rng silicon = silicon_root_.fork(id);
+  units_[a].write_row(slot % config_.array_rows, segment, silicon);
+}
+
+void AsmcapAccelerator::build_silicon() {
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.live[slot])
+      manufacture_row(slot, dir_.ids[slot],
+                      functional_backend_->row_segment(slot));
+}
+
+void AsmcapAccelerator::set_backend(BackendKind kind) {
+  if (kind == backend_kind_) return;
+  backend_kind_ = kind;
+  if (kind == BackendKind::Circuit)
+    build_silicon();
+  else
+    std::vector<AsmcapArrayUnit>().swap(units_);
+}
+
+std::size_t AsmcapAccelerator::silicon_rows() const {
+  std::size_t rows = 0;
+  for (const AsmcapArrayUnit& unit : units_) rows += unit.silicon_rows();
+  return rows;
 }
 
 void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
                                    const Sequence& segment) {
   const std::size_t a = slot / config_.array_rows;
-  const std::size_t r = slot % config_.array_rows;
-  ensure_units(a + 1);
   if (slot < dir_.slots() && !dir_.live[slot]) {
     // Recycling a tombstoned slot: the previous occupant's id is forgotten
     // for good (its state becomes Unknown — ids are never resurrected).
@@ -69,11 +81,8 @@ void AsmcapAccelerator::write_slot(std::size_t slot, std::uint64_t id,
     dir_.live.resize(slot + 1, false);
   }
   if (a >= dir_.array_live.size()) dir_.array_live.resize(a + 1, 0);
-  // The row's analog silicon is a pure function of its global id: the
-  // segment decides identically in whichever slot, array, or bank it
-  // lands (docs/determinism.md rule 8).
-  Rng silicon = silicon_root_.fork(id);
-  units_[a].write_row(r, segment, silicon);
+  if (backend_kind_ == BackendKind::Circuit)
+    manufacture_row(slot, id, segment);
   functional_backend_->write_slot(slot, segment);
   if (sketch_) sketch_->set_row(slot, segment);
   dir_.ids[slot] = id;
@@ -184,8 +193,9 @@ void AsmcapAccelerator::remove_segments(
   for (const std::uint64_t id : ids) {
     const std::size_t slot = id_to_slot_.at(id);
     const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    units_[a].invalidate_row(r);  // all-mismatch mask: zero search energy
+    // All-mismatch mask: zero search energy; the row's silicon goes too.
+    if (backend_kind_ == BackendKind::Circuit)
+      units_[a].invalidate_row(slot % config_.array_rows);
     if (sketch_) sketch_->clear_row(slot);
     dir_.live[slot] = false;
     --dir_.array_live[a];
@@ -210,32 +220,25 @@ std::vector<std::pair<std::uint64_t, Sequence>>
 AsmcapAccelerator::live_segments() const {
   std::vector<std::pair<std::uint64_t, Sequence>> out;
   out.reserve(dir_.live_count);
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    out.emplace_back(dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  for (std::size_t slot = 0; slot < dir_.slots(); ++slot)
+    if (dir_.live[slot])
+      out.emplace_back(dir_.ids[slot], functional_backend_->row_segment(slot));
   return out;
 }
 
 std::unique_ptr<AsmcapAccelerator> AsmcapAccelerator::clone() const {
   auto copy = std::make_unique<AsmcapAccelerator>(config_);
   copy->rates_ = rates_;
-  copy->backend_kind_ = backend_kind_;
-  // Replay the live rows into the same slots: silicon is keyed per global
-  // id, so the copy's analog state is identical where it matters (dead and
-  // unwritten rows are masked out of every decision and charge exactly
-  // zero search energy).
-  for (std::size_t slot = 0; slot < dir_.slots(); ++slot) {
-    if (!dir_.live[slot]) continue;
-    const std::size_t a = slot / config_.array_rows;
-    const std::size_t r = slot % config_.array_rows;
-    copy->write_slot(slot, dir_.ids[slot], units_[a].array().row_segment(r));
-  }
+  // The bank's state is flat memory: the packed rows, the directory, the
+  // id index, and the sketch bitsets copy as they are.
   copy->dir_ = dir_;
   copy->id_to_slot_ = id_to_slot_;
-  copy->functional_backend_->ensure_slots(dir_.slots());
+  copy->functional_backend_->copy_rows_from(*functional_backend_);
+  if (sketch_) *copy->sketch_ = *sketch_;
+  // A circuit bank's silicon is rebuilt from the per-id streams — the same
+  // silicon the original's rows hold.
+  copy->backend_kind_ = backend_kind_;
+  if (backend_kind_ == BackendKind::Circuit) copy->build_silicon();
   copy->next_auto_id_ = next_auto_id_;
   copy->identity_layout_ = identity_layout_;
   copy->load_energy_ = load_energy_;

@@ -21,6 +21,11 @@
 // determinism rule 8. Mutation errors are typed (asmcap/db_error.h) and
 // validated in full before any state changes.
 //
+// Resident state: the functional backend's packed slot matrix is the
+// bank's one copy of its segments. Cell-level circuit silicon (the array
+// units) exists only while the backend is Circuit; a functional bank
+// never builds it.
+//
 // Ownership: the accelerator owns its array units, backends, controller,
 // and session pool; backends hold non-owning references into it (hence
 // not movable). Thread-safety: the mutating entry points (load_reference,
@@ -96,7 +101,8 @@ class AsmcapAccelerator {
 
   /// Appends segments with auto-assigned global ids (returned, ascending).
   /// Tombstoned row slots are recycled first (lowest slot first), then
-  /// fresh rows are allocated; arrays are manufactured on demand. Throws
+  /// fresh rows are allocated; on a circuit bank each written row's
+  /// silicon is manufactured as it is written. Throws
   /// DbError (CapacityExceeded) when the live count would exceed
   /// capacity_segments(); validation happens before any state changes.
   std::vector<std::uint64_t> append_segments(
@@ -112,14 +118,15 @@ class AsmcapAccelerator {
   void remove_segments(const std::vector<std::uint64_t>& ids);
 
   SegmentState segment_state(std::uint64_t id) const;
-  /// The live (id, segment) pairs, ascending by row slot.
+  /// The live (id, segment) pairs, ascending by row slot, unpacked from
+  /// the packed slot matrix.
   std::vector<std::pair<std::uint64_t, Sequence>> live_segments() const;
 
-  /// Deep copy with the exact same row layout, ids, tombstones, silicon
-  /// (per-id keyed, so replaying the writes reproduces it), RNG state, and
-  /// load ledger — the copy-on-write primitive of the sharded router's
-  /// epoch scheme: search results on the clone are bit-identical to the
-  /// original, energy included.
+  /// Deep copy of the row layout, ids, tombstones, sketch, RNG state, and
+  /// load ledger as flat memory; a circuit bank's copy rebuilds its live
+  /// rows' silicon from the same per-id streams. The copy-on-write
+  /// primitive of the sharded router's epoch scheme: search results on
+  /// the clone are bit-identical to the original, energy included.
   std::unique_ptr<AsmcapAccelerator> clone() const;
 
   /// True while every slot s still holds id segment_base + s (always true
@@ -136,9 +143,14 @@ class AsmcapAccelerator {
   /// Selects the execution backend for subsequent searches. The circuit
   /// backend (default) is cell-accurate; the functional backend computes
   /// the same decisions (identically under ideal_sensing) an order of
-  /// magnitude faster. May be switched at any time.
-  void set_backend(BackendKind kind) { backend_kind_ = kind; }
+  /// magnitude faster. Switching to Circuit manufactures every live row's
+  /// silicon from its per-id stream; switching to Functional drops it. A
+  /// control-plane mutation: never while execute() calls are in flight.
+  void set_backend(BackendKind kind);
   BackendKind backend_kind() const { return backend_kind_; }
+  /// Rows currently holding manufactured circuit silicon: the live rows
+  /// on a circuit bank, zero on a functional one.
+  std::size_t silicon_rows() const;
   /// The active backend (valid once the database is non-empty).
   const ExecutionBackend& backend() const;
 
@@ -202,10 +214,14 @@ class AsmcapAccelerator {
  private:
   void check_read(const Sequence& read) const;
   void check_loaded() const;
-  void ensure_units(std::size_t arrays);
-  /// The shared write path: stores (id, segment) at `slot`, re-manufactures
-  /// the row's silicon from the per-id stream, and updates the directory,
-  /// the packed functional row, and the sketch. No cost accounting.
+  /// Writes `segment` into the circuit silicon at `slot`, manufacturing
+  /// the row's silicon from the stream of global id `id`.
+  void manufacture_row(std::size_t slot, std::uint64_t id,
+                       const Sequence& segment);
+  void build_silicon();  ///< manufacture_row for every live row.
+  /// The shared write path: stores (id, segment) at `slot` and updates the
+  /// directory, the packed row, the sketch, and — on a circuit bank — the
+  /// row's silicon. No cost accounting.
   void write_slot(std::size_t slot, std::uint64_t id,
                   const Sequence& segment);
   /// Converts a slot-indexed execute() result into the id-indexed shape
@@ -220,10 +236,11 @@ class AsmcapAccelerator {
   Controller controller_;
   TimingModel timing_;
   /// Root of the manufactured-silicon stream tree
-  /// (Rng(silicon_seed or seed).fork(0x51C0)); row silicon forks per
-  /// global id, construction-time array silicon per array index.
+  /// (Rng(silicon_seed or seed).fork(0x51C0)); a row's silicon forks from
+  /// it by the row's global id, and nothing else draws from it.
   Rng silicon_root_;
-  std::vector<AsmcapArrayUnit> units_;  ///< Manufactured on demand.
+  /// Circuit silicon; empty unless backend_kind_ == Circuit.
+  std::vector<AsmcapArrayUnit> units_;
   LiveDirectory dir_;
   std::unordered_map<std::uint64_t, std::size_t> id_to_slot_;
   std::unique_ptr<CircuitBackend> circuit_backend_;

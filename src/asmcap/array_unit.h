@@ -1,7 +1,9 @@
 #pragma once
 // One ASMCap array unit (Fig. 4b): the functional CAM array, the
-// charge-domain readout, the searchline driver, and the shift registers.
-// This is the hardware granule the mapper fills and the controller drives.
+// charge-domain readout, and the searchline driver. This is the hardware
+// granule of the cell-accurate circuit backend. A row holds manufactured
+// silicon only while it holds a segment: write_row manufactures it,
+// invalidate_row drops it, and a row that was never written has none.
 
 #include <cstddef>
 #include <vector>
@@ -9,7 +11,6 @@
 #include "cam/array.h"
 #include "cam/charge_readout.h"
 #include "cam/periphery.h"
-#include "cam/shift_register.h"
 #include "circuit/process.h"
 #include "genome/sequence.h"
 #include "util/rng.h"
@@ -25,36 +26,31 @@ struct RawSearch {
 
 class AsmcapArrayUnit {
  public:
+  /// An array with every row empty: no segment and no silicon.
   AsmcapArrayUnit(std::size_t rows, std::size_t cols,
-                  const ChargeDomainParams& params, bool ideal_sensing,
-                  Rng& manufacture_rng);
+                  const ChargeDomainParams& params, bool ideal_sensing);
 
   std::size_t rows() const { return array_.rows(); }
   std::size_t cols() const { return array_.cols(); }
-  std::size_t valid_rows() const { return array_.valid_rows(); }
 
-  void write_row(std::size_t row, const Sequence& segment);
-  /// Live-database write: stores the segment AND re-manufactures the row's
+  /// Live-database write: stores the segment AND manufactures the row's
   /// analog silicon from `silicon_rng` (a stream keyed by the segment's
   /// global id), so the row's noisy behaviour travels with the segment
   /// across rows, arrays, and banks.
   void write_row(std::size_t row, const Sequence& segment, Rng& silicon_rng);
-  /// Tombstones a row: its matchline reports all-mismatch (count == cols,
-  /// exactly zero charge-domain search energy) and it can never decide
-  /// 'match'. The row may be re-written later.
-  void invalidate_row(std::size_t row) { array_.invalidate_row(row); }
-  const CamArray& array() const { return array_; }
+  /// Tombstones a row and drops its silicon: its matchline reports
+  /// all-mismatch (count == cols, exactly zero charge-domain search energy)
+  /// and it can never decide 'match'. The row may be re-written later.
+  void invalidate_row(std::size_t row);
+  /// Rows currently holding manufactured silicon.
+  std::size_t silicon_rows() const { return readout_.manufactured_rows(); }
 
-  /// One search operation: drives the read, evaluates every row in the
-  /// given mode, and returns counts + settled voltages (systematic analog
-  /// state, before SA noise). Charges SL-driver and matchline energy.
-  RawSearch search_raw(const Sequence& read, MatchMode mode);
-
-  /// Const, thread-safe variant of search_raw: identical physics, but the
-  /// SL-driver + matchline energy of the pass is returned through
-  /// `energy_joules` instead of accumulating into the unit's ledger. This
-  /// is the path the execution backends use so that concurrent batch
-  /// workers never mutate shared silicon state.
+  /// One search operation, const and thread-safe: drives the read,
+  /// evaluates every row in the given mode, and returns counts + settled
+  /// voltages (systematic analog state, before SA noise). The SL-driver +
+  /// matchline energy of the pass is returned through `energy_joules`.
+  /// Empty rows are neither settled nor charged: they report count ==
+  /// cols at V_ML = VDD, and their search energy is exactly zero anyway.
   RawSearch measure(const Sequence& read, MatchMode mode,
                     double* energy_joules) const;
 
@@ -63,21 +59,11 @@ class AsmcapArrayUnit {
   bool decide(std::size_t count, double vml, std::size_t threshold,
               Rng& search_rng) const;
 
-  /// Full search: per-row match decisions at a threshold.
-  std::vector<bool> search(const Sequence& read, MatchMode mode,
-                           std::size_t threshold, Rng& search_rng);
-
-  ShiftRegisterFile& shift_registers() { return shift_registers_; }
-  double consumed_energy() const;
-  void reset_energy();
-
  private:
   CamArray array_;
   ChargeArrayReadout readout_;
   SearchlineDriver sl_driver_;
-  ShiftRegisterFile shift_registers_;
   bool ideal_sensing_;
-  double matchline_energy_ = 0.0;
 };
 
 }  // namespace asmcap

@@ -23,9 +23,9 @@
 //
 // Ownership: backends are owned by their accelerator and hold non-owning
 // references into it (both read the accelerator's LiveDirectory; the
-// functional backend additionally owns a packed copy of the slots, kept in
-// sync by the accelerator's write path); the accelerator must outlive
-// them.
+// functional backend additionally owns the packed slot matrix, the bank's
+// one resident copy of its segments, kept in sync by the accelerator's
+// write path); the accelerator must outlive them.
 // Thread-safety: run_pass is const and thread-safe — concurrent batch
 // workers share one backend, each supplying its own forked RNG stream.
 // Mutations (which rewrite the directory and packed rows) never run
@@ -121,7 +121,9 @@ class ExecutionBackend {
 /// Cell-accurate backend wrapping the manufactured AsmcapArrayUnit bank.
 /// Holds non-owning references into the accelerator (the unit vector and
 /// the live directory — both stable objects whose contents the accelerator
-/// mutates on the control plane); the accelerator must outlive it. An
+/// mutates on the control plane); the accelerator must outlive it. The
+/// units exist only while the bank's backend is Circuit, and then every
+/// live row holds its silicon (AsmcapAccelerator::set_backend). An
 /// array with zero live rows is skipped whole — no SL-driver energy — and
 /// a tombstoned row decides nothing and draws no RNG fork (per-decision
 /// streams are pure per-id forks, so skipping shifts no other draw).
@@ -148,9 +150,11 @@ class CircuitBackend : public ExecutionBackend {
 /// PackedReadView — the read-derived neighbour alignments are computed
 /// once per (read, rotation), not once per (segment, read). The packed
 /// matrix is owned here and kept row-aligned with the accelerator's slots
-/// by write_slot (the live-database append path); tombstoned slots are
-/// masked out of decisions and row energy by the shared LiveDirectory, and
-/// SL-driver energy is charged only for arrays with at least one live row.
+/// by write_slot (the live-database append path); it is the bank's one
+/// resident copy of its segments, whichever backend is selected.
+/// Tombstoned slots are masked out of decisions and row energy by the
+/// shared LiveDirectory, and SL-driver energy is charged only for arrays
+/// with at least one live row.
 class FunctionalBackend : public ExecutionBackend {
  public:
   FunctionalBackend(const AsmcapConfig& config,
@@ -158,8 +162,11 @@ class FunctionalBackend : public ExecutionBackend {
 
   /// (Re)writes one slot's packed row, growing the matrix as needed.
   void write_slot(std::size_t slot, const Sequence& segment);
-  /// Grows the matrix to `slots` zero rows (trailing tombstones).
-  void ensure_slots(std::size_t slots);
+  /// The segment stored at `slot`, unpacked from the matrix.
+  Sequence row_segment(std::size_t slot) const;
+  /// Copies another backend's packed matrix as flat memory (the bank
+  /// clone path; the directory binding stays this backend's own).
+  void copy_rows_from(const FunctionalBackend& other);
 
   const char* name() const override { return "functional"; }
   std::size_t segment_count() const override { return rows_; }

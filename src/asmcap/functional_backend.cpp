@@ -27,20 +27,29 @@ FunctionalBackend::FunctionalBackend(const AsmcapConfig& config,
       charge_(config.process.charge),
       sl_params_() {}
 
-void FunctionalBackend::ensure_slots(std::size_t slots) {
-  if (slots <= rows_) return;
-  words_.resize(slots * words_per_row_, 0);
-  rows_ = slots;
-}
-
 void FunctionalBackend::write_slot(std::size_t slot,
                                    const Sequence& segment) {
   if (segment.size() != cols_)
     throw std::invalid_argument("FunctionalBackend: segment width mismatch");
-  ensure_slots(slot + 1);
+  if (slot >= rows_) {
+    rows_ = slot + 1;
+    words_.resize(rows_ * words_per_row_, 0);
+  }
   const std::vector<std::uint64_t> packed = segment.packed_words();
   std::copy(packed.begin(), packed.end(),
             words_.begin() + slot * words_per_row_);
+}
+
+Sequence FunctionalBackend::row_segment(std::size_t slot) const {
+  if (slot >= rows_)
+    throw std::out_of_range("FunctionalBackend::row_segment");
+  return Sequence::from_packed_words(words_.data() + slot * words_per_row_,
+                                     cols_);
+}
+
+void FunctionalBackend::copy_rows_from(const FunctionalBackend& other) {
+  words_ = other.words_;
+  rows_ = other.rows_;
 }
 
 PassResult FunctionalBackend::run_pass(const Sequence& read, MatchMode mode,

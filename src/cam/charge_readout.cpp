@@ -5,36 +5,56 @@
 namespace asmcap {
 
 ChargeArrayReadout::ChargeArrayReadout(std::size_t rows, std::size_t cols,
-                                       const ChargeDomainParams& params,
-                                       Rng& manufacture_rng)
-    : params_(params), cols_(cols), sense_amp_(params.sa_noise_sigma) {
+                                       const ChargeDomainParams& params)
+    : params_(params),
+      cols_(cols),
+      matchlines_(rows),
+      row_offsets_(rows, 0.0),
+      sense_amp_(params.sa_noise_sigma) {
   if (rows == 0 || cols == 0)
     throw std::invalid_argument("ChargeArrayReadout: empty dimensions");
-  matchlines_.reserve(rows);
-  row_offsets_.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    matchlines_.emplace_back(cols, params_, manufacture_rng);
-    // Residual systematic SA offset per row (post-cancellation).
-    row_offsets_.push_back(
-        manufacture_rng.normal(0.0, params_.sa_offset_sigma));
-  }
+}
+
+ChargeArrayReadout::ChargeArrayReadout(std::size_t rows, std::size_t cols,
+                                       const ChargeDomainParams& params,
+                                       Rng& manufacture_rng)
+    : ChargeArrayReadout(rows, cols, params) {
+  for (std::size_t r = 0; r < rows; ++r) remanufacture_row(r, manufacture_rng);
 }
 
 void ChargeArrayReadout::remanufacture_row(std::size_t row, Rng& rng) {
   if (row >= rows())
     throw std::out_of_range("ChargeArrayReadout::remanufacture_row");
-  // Same draw order as construction: matchline capacitors, then the
-  // residual SA offset.
-  matchlines_[row] = ChargeMatchline(cols_, params_, rng);
+  // Draw order: the matchline capacitors, then the residual systematic SA
+  // offset (post-cancellation).
+  matchlines_[row].emplace(cols_, params_, rng);
   row_offsets_[row] = rng.normal(0.0, params_.sa_offset_sigma);
+}
+
+void ChargeArrayReadout::release_row(std::size_t row) {
+  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::release_row");
+  matchlines_[row].reset();
+}
+
+std::size_t ChargeArrayReadout::manufactured_rows() const {
+  std::size_t count = 0;
+  for (const std::optional<ChargeMatchline>& line : matchlines_)
+    if (line.has_value()) ++count;
+  return count;
+}
+
+const ChargeMatchline& ChargeArrayReadout::matchline(std::size_t row) const {
+  const std::optional<ChargeMatchline>& line = matchlines_.at(row);
+  if (!line.has_value())
+    throw std::logic_error("ChargeArrayReadout: row has no silicon");
+  return *line;
 }
 
 double ChargeArrayReadout::settle_row(std::size_t row,
                                       const BitVec& mask) const {
-  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::settle_row");
   // The systematic SA offset is folded into the settled voltage: both are
   // fixed per silicon, so the SA effectively compares (V_ML + offset).
-  return matchlines_[row].settle(mask) + row_offsets_[row];
+  return matchline(row).settle(mask) + row_offsets_[row];
 }
 
 bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
@@ -46,13 +66,13 @@ bool ChargeArrayReadout::decide(double vml, std::size_t threshold,
 RowDecision ChargeArrayReadout::sense_row(std::size_t row, const BitVec& mask,
                                           std::size_t threshold,
                                           Rng& search_rng) {
-  if (row >= rows()) throw std::out_of_range("ChargeArrayReadout::sense_row");
-  const double vml = matchlines_[row].settle(mask);
+  const ChargeMatchline& line = matchline(row);
+  const double vml = line.settle(mask);
   const double vref = charge_vref(threshold, cols_, params_.vdd);
   RowDecision decision;
   decision.vml = vml;
   decision.match = sense_amp_.below(vml, vref, search_rng);
-  energy_ += matchlines_[row].search_energy(mask.popcount());
+  energy_ += line.search_energy(mask.popcount());
   return decision;
 }
 

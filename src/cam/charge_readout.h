@@ -5,6 +5,7 @@
 // decisions and accounts search energy.
 
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "circuit/matchline.h"
@@ -25,14 +26,22 @@ class ChargeArrayReadout {
   /// Manufactures `rows` matchlines of `cols` cells each.
   ChargeArrayReadout(std::size_t rows, std::size_t cols,
                      const ChargeDomainParams& params, Rng& manufacture_rng);
+  /// `rows` rows with no silicon yet: each is manufactured by
+  /// remanufacture_row when a segment is written to it.
+  ChargeArrayReadout(std::size_t rows, std::size_t cols,
+                     const ChargeDomainParams& params);
 
-  /// Re-manufactures ONE row's analog silicon (capacitor mismatch + the
+  /// (Re-)manufactures ONE row's analog silicon (capacitor mismatch + the
   /// systematic SA offset) from `rng`. The live-database write path keys
   /// `rng` by the occupant segment's global id, which makes every noisy
   /// decision a pure function of (silicon seed, global segment id, query
   /// stream) — independent of which row, array, or bank the segment
   /// landed in (docs/determinism.md rule 8).
   void remanufacture_row(std::size_t row, Rng& rng);
+  /// Drops one row's silicon (a tombstoned row never settles again).
+  void release_row(std::size_t row);
+  /// Rows currently holding manufactured silicon.
+  std::size_t manufactured_rows() const;
 
   /// Senses every row against threshold T: match iff V_ML <= V_ref(T).
   /// `search_rng` supplies the per-decision SA noise. Accumulates energy.
@@ -44,7 +53,8 @@ class ChargeArrayReadout {
                         std::size_t threshold, Rng& search_rng);
 
   /// Systematic settled voltage of a row for a mask (cacheable: it depends
-  /// only on the silicon and the mask, not on the search).
+  /// only on the silicon and the mask, not on the search). The row must be
+  /// manufactured (std::logic_error otherwise), as for sense/sense_row.
   double settle_row(std::size_t row, const BitVec& mask) const;
 
   /// SA decision from a cached settled voltage (adds SA noise, charges no
@@ -62,14 +72,12 @@ class ChargeArrayReadout {
   double consumed_energy() const { return energy_; }
   void reset_energy() { energy_ = 0.0; }
   const ChargeDomainParams& params() const { return params_; }
-  const ChargeMatchline& matchline(std::size_t row) const {
-    return matchlines_.at(row);
-  }
+  const ChargeMatchline& matchline(std::size_t row) const;
 
  private:
   ChargeDomainParams params_;
   std::size_t cols_;
-  std::vector<ChargeMatchline> matchlines_;
+  std::vector<std::optional<ChargeMatchline>> matchlines_;  ///< Per row.
   std::vector<double> row_offsets_;  ///< systematic per-row SA offsets [V].
   SenseAmp sense_amp_;
   double energy_ = 0.0;

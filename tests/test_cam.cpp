@@ -152,6 +152,27 @@ TEST(ChargeReadout, DecideFromCachedVoltage) {
   EXPECT_FALSE(readout.decide(vml, 1, search));
 }
 
+TEST(ChargeReadout, RowsWithoutSiliconUntilManufactured) {
+  const ChargeDomainParams params;
+  ChargeArrayReadout readout(3, 32, params);
+  EXPECT_EQ(readout.manufactured_rows(), 0u);
+  EXPECT_THROW(readout.settle_row(1, BitVec(32)), std::logic_error);
+
+  // A row's silicon is a pure function of its stream, whenever it is made.
+  Rng eager_rng(311);
+  const ChargeArrayReadout eager(3, 32, params, eager_rng);
+  Rng row_rng(311);
+  for (std::size_t r = 0; r < 3; ++r) readout.remanufacture_row(r, row_rng);
+  BitVec mask(32);
+  mask.set(5);
+  for (std::size_t r = 0; r < 3; ++r)
+    EXPECT_EQ(readout.settle_row(r, mask), eager.settle_row(r, mask));
+
+  readout.release_row(1);
+  EXPECT_EQ(readout.manufactured_rows(), 2u);
+  EXPECT_THROW(readout.settle_row(1, mask), std::logic_error);
+}
+
 TEST(CurrentReadout, NoiselessThresholdDecisions) {
   CurrentDomainParams params;
   params.i_sigma_rel = 0.0;

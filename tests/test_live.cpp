@@ -14,20 +14,28 @@
 //  * hot-bank overflow and compaction — staging-bank geometry changes
 //    never change decisions;
 //  * sketch consistency — shard pruning stays decision-neutral across
-//    mutations.
+//    mutations;
+//  * resident state — the packed slot matrix is the one copy of a bank's
+//    segments, circuit silicon exists only on circuit banks, and a bank
+//    switched to circuit or cloned decides exactly like one that was
+//    circuit throughout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include "asmcap/db_error.h"
 #include "asmcap/edam.h"
+#include "asmcap/ingest.h"
 #include "asmcap/service.h"
 #include "asmcap/sharded.h"
 #include "genome/readsim.h"
 #include "genome/reference.h"
+#include "genome/stream_reader.h"
 
 namespace asmcap {
 namespace {
@@ -340,6 +348,206 @@ TEST_F(LiveDbTest, SketchPruningDecisionNeutralAfterMutations) {
   // Every (query, bank) pair was either probed or pruned, never dropped.
   EXPECT_EQ(pruned.totals().banks_probed + pruned.totals().banks_pruned,
             reads_.size() * pruned.active_shards());
+}
+
+// A history of appends, removes and slot recycling on one bank (48-row
+// capacity): ids 40..42 recycle the slots of 3, 7 and 18; after 40 and 12
+// die too, ids 43..45 recycle slots 3, 12 and 33 and ids 46..47 take two
+// fresh slots. `expected` receives the surviving (id, segment) pairs.
+void run_history(AsmcapAccelerator& bank,
+                 const std::vector<Sequence>& segments,
+                 std::map<std::uint64_t, Sequence>* expected) {
+  const std::vector<Sequence> first40(segments.begin(),
+                                      segments.begin() + 40);
+  bank.load_reference(first40);
+  bank.remove_segments({3, 7, 18, 33});
+  bank.append_segments({segments[40], segments[41], segments[42]});
+  bank.remove_segments({40, 12});
+  bank.append_segments(std::vector<Sequence>(segments.begin() + 43,
+                                             segments.begin() + 48));
+  if (expected == nullptr) return;
+  expected->clear();
+  for (std::uint64_t id = 0; id < 48; ++id)
+    if (id != 3 && id != 7 && id != 18 && id != 33 && id != 40 && id != 12)
+      (*expected)[id] = segments[static_cast<std::size_t>(id)];
+}
+
+// A bank whose decisions hinge on its silicon: a large capacitor
+// mismatch moves a row's V_ML by more than half a mismatch level, so a
+// row with the wrong silicon decides differently near the threshold.
+AsmcapConfig silicon_sensitive_config() {
+  AsmcapConfig config = bank_config(3, /*ideal=*/false);
+  config.process.charge.cap_sigma_rel = 0.3;
+  return config;
+}
+
+// Reads 3..6 substitutions away from each segment that lands in a
+// recycled or fresh slot in run_history (ids 41..47): at T = 4 their
+// decisions sit on the threshold, where silicon decides.
+std::vector<Sequence> near_threshold_reads(
+    const std::vector<Sequence>& segments) {
+  Rng rng(0x7E57);
+  std::vector<Sequence> reads;
+  for (std::size_t id = 41; id < 48; ++id) {
+    for (std::size_t edits = 3; edits <= 6; ++edits) {
+      Sequence read = segments[id];
+      for (std::size_t e = 0; e < edits; ++e) {
+        const std::size_t at = static_cast<std::size_t>(rng.below(read.size()));
+        read.set(at, base_from_code(static_cast<std::uint8_t>(
+                         (code_of(read[at]) + 1) & 3u)));
+      }
+      reads.push_back(read);
+    }
+  }
+  return reads;
+}
+
+// Const, stream-explicit results of every read (decisions, energy): what
+// two banks must agree on bit for bit.
+std::vector<QueryResult> execute_all(const AsmcapAccelerator& bank,
+                                     const std::vector<Sequence>& reads) {
+  std::vector<QueryResult> out;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const ExecutionPlan plan = bank.planner().build(
+        reads[i], 4, bank.error_profile(), StrategyMode::Full);
+    out.push_back(bank.execute(plan, Rng(0xB0A7 + i)));
+  }
+  return out;
+}
+
+void expect_same_results(const std::vector<QueryResult>& a,
+                         const std::vector<QueryResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].decisions, b[i].decisions) << "read " << i;
+    EXPECT_EQ(a[i].matched_segments, b[i].matched_segments);
+    EXPECT_EQ(a[i].latency_seconds, b[i].latency_seconds);
+    EXPECT_EQ(a[i].energy_joules, b[i].energy_joules);
+  }
+}
+
+// The packed slot matrix is the bank's one copy of its segments:
+// live_segments() unpacks from it, recycled slots included, on either
+// backend and on a clone.
+TEST_F(LiveDbTest, LiveSegmentsUnpackFromThePackedRows) {
+  for (const BackendKind kind : {BackendKind::Functional, BackendKind::Circuit}) {
+    SCOPED_TRACE(to_string(kind));
+    AsmcapAccelerator bank(bank_config(3));
+    bank.set_backend(kind);
+    std::map<std::uint64_t, Sequence> expected;
+    run_history(bank, segments_, &expected);
+    const std::vector<std::pair<std::uint64_t, Sequence>> want(
+        expected.begin(), expected.end());
+
+    std::vector<std::pair<std::uint64_t, Sequence>> got = bank.live_segments();
+    std::sort(got.begin(), got.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    EXPECT_EQ(got, want);
+    // Recycled slots answer with their new occupant.
+    EXPECT_EQ(bank.live_segments()[3].first, 43u);
+    EXPECT_EQ(bank.clone()->live_segments(), bank.live_segments());
+  }
+}
+
+// A bank whose history ran on the functional backend and then switched
+// to circuit must decide exactly like a bank that was circuit all along —
+// noisy sensing, decisions and energy both: its silicon is rebuilt from
+// the same per-id streams. Switching back drops the silicon again.
+TEST_F(LiveDbTest, SwitchToCircuitAfterFunctionalHistoryIsBitIdentical) {
+  std::vector<Sequence> reads = near_threshold_reads(segments_);
+  reads.insert(reads.end(), reads_.begin(), reads_.end());
+  AsmcapAccelerator always(silicon_sensitive_config());
+  run_history(always, segments_, nullptr);
+  AsmcapAccelerator switched(silicon_sensitive_config());
+  switched.set_backend(BackendKind::Functional);
+  run_history(switched, segments_, nullptr);
+  EXPECT_EQ(switched.silicon_rows(), 0u);
+
+  switched.set_backend(BackendKind::Circuit);
+  EXPECT_EQ(switched.silicon_rows(), switched.live_segment_count());
+  EXPECT_EQ(always.silicon_rows(), always.live_segment_count());
+  expect_same_results(execute_all(switched, reads),
+                      execute_all(always, reads));
+  // The sequential and batch entry points agree too.
+  for (const Sequence& read : reads) {
+    const QueryResult a = switched.search(read, 4, StrategyMode::Full);
+    const QueryResult b = always.search(read, 4, StrategyMode::Full);
+    EXPECT_EQ(a.decisions, b.decisions);
+    EXPECT_EQ(a.energy_joules, b.energy_joules);
+  }
+  expect_same_results(switched.search_batch(reads, 4, StrategyMode::Full, 2),
+                      always.search_batch(reads, 4, StrategyMode::Full, 2));
+
+  switched.set_backend(BackendKind::Functional);
+  EXPECT_EQ(switched.silicon_rows(), 0u);
+}
+
+// clone() copies flat memory: after a mutation history the clone of a
+// functional bank and of a (noisy) circuit bank answers bit-identically
+// to its original, and mutating the clone leaves the original's answers
+// untouched — the isolation the router's copy-on-write epochs rest on.
+TEST_F(LiveDbTest, CloneIsBitIdenticalAndIsolated) {
+  std::vector<Sequence> reads = near_threshold_reads(segments_);
+  reads.insert(reads.end(), reads_.begin(), reads_.end());
+  for (const BackendKind kind : {BackendKind::Functional, BackendKind::Circuit}) {
+    SCOPED_TRACE(to_string(kind));
+    AsmcapAccelerator bank(silicon_sensitive_config());
+    bank.set_backend(kind);
+    run_history(bank, segments_, nullptr);
+    const std::vector<QueryResult> before = execute_all(bank, reads);
+
+    const std::unique_ptr<AsmcapAccelerator> copy = bank.clone();
+    EXPECT_EQ(copy->backend_kind(), kind);
+    EXPECT_EQ(copy->silicon_rows(), bank.silicon_rows());
+    EXPECT_EQ(copy->directory().ids, bank.directory().ids);
+    EXPECT_EQ(copy->directory().live, bank.directory().live);
+    expect_same_results(execute_all(*copy, reads), before);
+    for (const Sequence& read : reads) {
+      const QueryResult a = copy->search(read, 4, StrategyMode::Full);
+      const QueryResult b = bank.search(read, 4, StrategyMode::Full);
+      EXPECT_EQ(a.decisions, b.decisions);
+      EXPECT_EQ(a.energy_joules, b.energy_joules);
+    }
+
+    copy->remove_segments({0, 1, 2, 43});
+    copy->append_segments({segments_[48], segments_[49]});
+    expect_same_results(execute_all(bank, reads), before);
+    EXPECT_EQ(bank.segment_state(0), SegmentState::Live);
+    EXPECT_EQ(bank.live_segment_count(), 42u);
+  }
+}
+
+// A functional database never manufactures circuit silicon, however it
+// was built (streamed ingest, hot-bank folds, clones); switching it to
+// circuit gives every live row its silicon, and only those rows.
+TEST(ResidentState, FunctionalIngestBuildsNoSilicon) {
+  AsmcapConfig config;
+  config.array_rows = 64;
+  config.array_cols = 64;
+  config.array_count = 24;
+  config.ideal_sensing = false;
+  ShardedAccelerator db(config, 2);
+  db.set_backend(BackendKind::Functional);
+
+  Rng rng(0x5111);
+  const Sequence genome = generate_reference(64 * 2000, {}, rng);
+  std::istringstream in(">genome\n" + genome.to_string() + "\n");
+  SeqStreamReader reader(in, "genome.fa");
+  const IngestStats stats = ingest_reference(db, reader);
+  ASSERT_EQ(stats.segments, 2000u);
+
+  const std::shared_ptr<const DbEpoch> epoch = db.db();
+  ASSERT_GE(epoch->banks.size(), 2u);
+  std::size_t live = 0;
+  for (const auto& bank : epoch->banks) {
+    EXPECT_EQ(bank->silicon_rows(), 0u);
+    live += bank->live_segment_count();
+  }
+  EXPECT_EQ(live, 2000u);
+
+  db.set_backend(BackendKind::Circuit);
+  for (const auto& bank : db.db()->banks)
+    EXPECT_EQ(bank->silicon_rows(), bank->live_segment_count());
 }
 
 // The typed error taxonomy shared by the ASMCap banks, the router, and

@@ -128,6 +128,17 @@ TEST(Sequence, RandomHasAllBases) {
   for (std::size_t c : counts) EXPECT_GT(c, 180u);  // roughly uniform
 }
 
+TEST(Sequence, PackedWordsRoundTrip) {
+  Rng rng(133);
+  for (const std::size_t n : {1u, 31u, 32u, 33u, 64u, 250u}) {
+    const Sequence seq = Sequence::random(n, rng);
+    const std::vector<std::uint64_t> words = seq.packed_words();
+    const Sequence back = Sequence::from_packed_words(words.data(), n);
+    EXPECT_EQ(back, seq) << "n=" << n;
+    EXPECT_EQ(back.packed_words(), words) << "n=" << n;
+  }
+}
+
 TEST(Sequence, EraseShrinksStorageConsistently) {
   Sequence s = Sequence::from_string("ACGTACGT");
   for (int i = 0; i < 8; ++i) s.erase(0);
